@@ -735,13 +735,9 @@ func BenchmarkAblationExclusion(b *testing.B) {
 // BenchmarkStreamUpdate is the PR-9 acceptance benchmark: the same
 // 600×600 grid as BenchmarkIncrementalRebuild, with a ≤1% delta confined
 // to the grid's 60×60 corner block — the locality the streaming fast
-// path exists for. Three ways to absorb it:
+// path exists for. Two ways to absorb it:
 //
-//   - "legacy" is the PR-5 incremental rebuild (UpdateSparsifier on a
-//     materialized new graph): clean clusters are re-hashed and adopted
-//     through the cluster cache, the cut forest is re-sorted globally,
-//     and both Laplacians are reassembled from scratch.
-//   - "patched" is the new delta path (Update with a graph.Patch):
+//   - "patched" is the delta path (Update with a graph.Patch):
 //     localized stitch restricted to the dirty clusters, clean-cluster
 //     adoption by index without hashing, and both Laplacians patched in
 //     place — O(dirty) work after the dirty-cluster resparsification.
@@ -749,8 +745,8 @@ func BenchmarkAblationExclusion(b *testing.B) {
 //     engine /v2/stream session absorbing one corner push per op
 //     (fingerprint + artifact store + localized rebuild).
 //
-// The ≥2× acceptance gap is legacy vs patched; a guard before the timed
-// runs enforces the identical-PCG-iteration-count requirement.
+// That the localized stitch matches the global one is pinned by
+// TestLocalizedStitchReweightBitCompat and TestUpdateChainedEquivalence.
 func BenchmarkStreamUpdate(b *testing.B) {
 	ctx := context.Background()
 	// Same deliberately unscaled graph as the other sharded benchmarks,
@@ -784,57 +780,18 @@ func BenchmarkStreamUpdate(b *testing.B) {
 			}
 		}
 	}
-	// Both legs get their input materialized outside the timer: legacy
-	// receives the updated graph, patched receives the classified edit
-	// script (graph.Patch) a stream session holds anyway.
+	// The patched leg gets its input materialized outside the timer: the
+	// classified edit script (graph.Patch) a stream session holds anyway.
 	p, err := d.ApplyPatch(g)
 	if err != nil {
 		b.Fatal(err)
 	}
-	newG := p.G
 
 	rng := rand.New(rand.NewSource(17))
 	rhs := make([]float64, g.N)
 	for i := range rhs {
 		rhs[i] = rng.NormFloat64()
 	}
-	iters := func(s *Sparsifier) int {
-		b.Helper()
-		sol, err := s.Solve(ctx, rhs)
-		if err != nil || !sol.Converged {
-			b.Fatalf("solve: converged=%v err=%v", sol != nil && sol.Converged, err)
-		}
-		return sol.Iterations
-	}
-
-	// Acceptance guard: the patched path must land on the exact PCG
-	// iteration count of the legacy rebuild — same preconditioner
-	// quality, not a faster-but-worse approximation.
-	legacy, err := core.UpdateSparsifier(ctx, base, newG)
-	if err != nil {
-		b.Fatal(err)
-	}
-	patched, err := core.UpdateSparsifierPatch(ctx, base, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if up := patched.UpdateStats(); up == nil || !up.Localized || !up.LGPatched || !up.LPPatched {
-		b.Fatalf("delta did not take the full fast path: %+v", up)
-	}
-	li, pi := iters(legacy), iters(patched)
-	if li != pi {
-		b.Fatalf("pcg iteration counts diverge: legacy %d, patched %d", li, pi)
-	}
-
-	b.Run("legacy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.UpdateSparsifier(ctx, base, newG); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(li), "pcg-iters")
-	})
-
 	b.Run("patched", func(b *testing.B) {
 		var s *Sparsifier
 		for i := 0; i < b.N; i++ {
@@ -844,11 +801,19 @@ func BenchmarkStreamUpdate(b *testing.B) {
 			}
 		}
 		b.StopTimer()
+		up := s.UpdateStats()
+		if up == nil || !up.Localized || !up.LGPatched || !up.LPPatched {
+			b.Fatalf("delta did not take the full fast path: %+v", up)
+		}
 		st := s.ShardStats()
 		b.ReportMetric(float64(st.ClustersReused)/float64(st.Shards), "reused-frac")
 		b.ReportMetric(float64(st.DirtyClusters), "dirty-clusters")
-		b.ReportMetric(float64(s.UpdateStats().PatchTime)/1e6, "patch-ms")
-		b.ReportMetric(float64(pi), "pcg-iters")
+		b.ReportMetric(float64(up.PatchTime)/1e6, "patch-ms")
+		sol, err := s.Solve(ctx, rhs)
+		if err != nil || !sol.Converged {
+			b.Fatalf("solve: converged=%v err=%v", sol != nil && sol.Converged, err)
+		}
+		b.ReportMetric(float64(sol.Iterations), "pcg-iters")
 	})
 
 	b.Run("session", func(b *testing.B) {

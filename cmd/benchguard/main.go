@@ -14,16 +14,19 @@
 // Each -gate is a regexp=max-slowdown pair and may repeat; a benchmark
 // matching several gates is held to the strictest. The legacy
 // -bench/-max-slowdown pair remains as a single default gate. Benchmarks
-// present in only one file are reported but do not fail the run (the set
-// is expected to grow PR over PR); a matched benchmark whose new ns/op
-// exceeds old·max-slowdown fails it.
+// present in only one file are reported (NEW, GONE) but do not fail the
+// run (the set is expected to grow PR over PR); a matched benchmark whose
+// new ns/op exceeds old·max-slowdown fails it, and so does a gate that
+// matches no benchmark present in both files — it would gate nothing.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -135,20 +138,33 @@ func parse(path string) (map[string]float64, error) {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchguard: ")
-	oldPath := flag.String("old", "", "baseline bench JSON (test2json stream)")
-	newPath := flag.String("new", "", "candidate bench JSON (test2json stream)")
-	benchRE := flag.String("bench", "", "regexp for the default gate (legacy single-gate mode)")
-	maxSlowdown := flag.Float64("max-slowdown", 1.25, "max-slowdown of the legacy -bench gate")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses args, compares the two files, and writes the report to
+// stdout. It returns an error when a gated benchmark regressed past its
+// limit, when a gate matched no benchmark present in both files, or on
+// bad input.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("benchguard", flag.ContinueOnError)
+	oldPath := fs.String("old", "", "baseline bench JSON (test2json stream)")
+	newPath := fs.String("new", "", "candidate bench JSON (test2json stream)")
+	benchRE := fs.String("bench", "", "regexp for the default gate (legacy single-gate mode)")
+	maxSlowdown := fs.Float64("max-slowdown", 1.25, "max-slowdown of the legacy -bench gate")
 	var gates gateFlags
-	flag.Var(&gates, "gate", "regexp=max-slowdown pair; repeatable, strictest match wins")
-	flag.Parse()
+	fs.Var(&gates, "gate", "regexp=max-slowdown pair; repeatable, strictest match wins")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *oldPath == "" || *newPath == "" {
-		log.Fatal("need -old and -new")
+		return errors.New("need -old and -new")
 	}
 	if *benchRE != "" {
 		re, err := regexp.Compile(*benchRE)
 		if err != nil {
-			log.Fatalf("bad -bench regexp: %v", err)
+			return fmt.Errorf("bad -bench regexp: %v", err)
 		}
 		gates = append(gates, gate{re: re, max: *maxSlowdown})
 	}
@@ -160,17 +176,17 @@ func main() {
 
 	oldNS, err := parse(*oldPath)
 	if err != nil {
-		log.Fatalf("parsing %s: %v", *oldPath, err)
+		return fmt.Errorf("parsing %s: %v", *oldPath, err)
 	}
 	newNS, err := parse(*newPath)
 	if err != nil {
-		log.Fatalf("parsing %s: %v", *newPath, err)
+		return fmt.Errorf("parsing %s: %v", *newPath, err)
 	}
 	if len(oldNS) == 0 {
-		log.Fatalf("no benchmark results in %s", *oldPath)
+		return fmt.Errorf("no benchmark results in %s", *oldPath)
 	}
 	if len(newNS) == 0 {
-		log.Fatalf("no benchmark results in %s", *newPath)
+		return fmt.Errorf("no benchmark results in %s", *newPath)
 	}
 
 	names := make([]string, 0, len(newNS))
@@ -180,12 +196,18 @@ func main() {
 	sort.Strings(names)
 
 	failed := false
+	used := make([]bool, len(gates))
 	for _, name := range names {
 		nv := newNS[name]
 		ov, ok := oldNS[name]
 		if !ok {
-			fmt.Printf("NEW   %-60s %14.0f ns/op (no baseline)\n", name, nv)
+			fmt.Fprintf(stdout, "NEW   %-60s %14.0f ns/op (no baseline)\n", name, nv)
 			continue
+		}
+		for i, g := range gates {
+			if g.re.MatchString(name) {
+				used[i] = true
+			}
 		}
 		ratio := nv / ov
 		limit := gates.limitFor(name)
@@ -198,15 +220,32 @@ func main() {
 		if !math.IsInf(limit, 1) {
 			lim = fmt.Sprintf("limit %.2fx", limit)
 		}
-		fmt.Printf("%s  %-60s %14.0f -> %14.0f ns/op  (%.2fx, %s)\n",
+		fmt.Fprintf(stdout, "%s  %-60s %14.0f -> %14.0f ns/op  (%.2fx, %s)\n",
 			status, name, ov, nv, ratio, lim)
 	}
+	var gone []string
 	for name := range oldNS {
 		if _, ok := newNS[name]; !ok {
-			fmt.Printf("GONE  %-60s (present in baseline only)\n", name)
+			gone = append(gone, name)
 		}
 	}
-	if failed {
-		log.Fatal("benchmark regression above a gate limit")
+	sort.Strings(gone)
+	for _, name := range gone {
+		fmt.Fprintf(stdout, "GONE  %-60s (present in baseline only)\n", name)
 	}
+	// A gate that matched nothing checked nothing: a renamed or deleted
+	// leg would otherwise drop out of the gate silently.
+	var vacuous []string
+	for i, g := range gates {
+		if !used[i] {
+			vacuous = append(vacuous, g.re.String())
+		}
+	}
+	if len(vacuous) > 0 {
+		return fmt.Errorf("gate matches no benchmark present in both files: %s", strings.Join(vacuous, ", "))
+	}
+	if failed {
+		return errors.New("benchmark regression above a gate limit")
+	}
+	return nil
 }

@@ -146,17 +146,16 @@ func BenchmarkSolveThroughput(b *testing.B) {
 	b.Run("coalesced-http", func(b *testing.B) { httpLeg(b, 25*time.Millisecond) })
 }
 
-// BenchmarkFleetFactorBuild is the PR-10 fabric benchmark: one sharded
+// BenchmarkFleetFactorBuild is the fabric benchmark: one sharded
 // Schwarz-preconditioned build of the 600×600 grid (the same deliberately
-// unscaled graph as BenchmarkShardedSparsify) three ways. "local" is the
+// unscaled graph as BenchmarkShardedSparsify) two ways. "local" is the
 // coordinator doing everything in-process. "fleet" ships the cluster
 // sparsifier builds to two in-process worker servers over the real
-// HTTP/JSON wire but factorizes locally. "fleet-factors" additionally
-// dispatches the per-cluster Schwarz factorizations to the same workers
-// (-remote-factors). All three produce the bit-identical artifact — the
-// pcg-iters metric proves it on a shared right-hand side — so the legs
-// measure pure orchestration cost: wire codec, dispatch scheduling, and
-// the streamed-results overlap against the in-process baseline.
+// HTTP/JSON wire and factorizes locally. Both produce the bit-identical
+// artifact — the pcg-iters metric proves it on a shared right-hand side —
+// so the legs measure pure orchestration cost: wire codec, dispatch
+// scheduling, and the streamed-results overlap against the in-process
+// baseline.
 func BenchmarkFleetFactorBuild(b *testing.B) {
 	ctx := context.Background()
 	g := gen.Grid2D(600, 600, 1)
@@ -171,7 +170,7 @@ func BenchmarkFleetFactorBuild(b *testing.B) {
 		rhs[i] -= sum / float64(len(rhs))
 	}
 
-	run := func(b *testing.B, nWorkers int, remoteFactors bool) {
+	run := func(b *testing.B, nWorkers int) {
 		var art *engine.Artifact
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -191,7 +190,6 @@ func BenchmarkFleetFactorBuild(b *testing.B) {
 				ShardThreshold: g.N / 32,
 				Precond:        precond.Schwarz,
 				Fleet:          fleet,
-				RemoteFactors:  remoteFactors,
 			})
 			b.StartTimer()
 			var err error
@@ -200,14 +198,9 @@ func BenchmarkFleetFactorBuild(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StopTimer()
-			st := eng.Stats()
-			if nWorkers > 0 && st.ClustersRemote == 0 {
+			if nWorkers > 0 && eng.Stats().ClustersRemote == 0 {
 				b.Fatal("fleet leg built no clusters remotely")
 			}
-			if remoteFactors && st.FactorsRemote == 0 {
-				b.Fatal("fleet-factors leg built no factors remotely")
-			}
-			b.ReportMetric(float64(st.FactorsRemote)/float64(b.N), "factors-remote")
 			b.StartTimer()
 		}
 		b.StopTimer()
@@ -218,7 +211,6 @@ func BenchmarkFleetFactorBuild(b *testing.B) {
 		b.ReportMetric(float64(sol.Iterations), "pcg-iters")
 	}
 
-	b.Run("local", func(b *testing.B) { run(b, 0, false) })
-	b.Run("fleet", func(b *testing.B) { run(b, 2, false) })
-	b.Run("fleet-factors", func(b *testing.B) { run(b, 2, true) })
+	b.Run("local", func(b *testing.B) { run(b, 0) })
+	b.Run("fleet", func(b *testing.B) { run(b, 2) })
 }

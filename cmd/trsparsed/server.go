@@ -717,6 +717,8 @@ func classify(err error) (int, string) {
 		return http.StatusRequestEntityTooLarge, "too_large"
 	case errors.Is(err, core.ErrDimension):
 		return http.StatusBadRequest, "dimension"
+	case errors.Is(err, core.ErrNonFinite):
+		return http.StatusUnprocessableEntity, "non_finite"
 	case errors.Is(err, engine.ErrUnknownKey):
 		return http.StatusNotFound, "unknown_key"
 	case errors.Is(err, engine.ErrInternal):
@@ -762,9 +764,9 @@ type errorResponse struct {
 	Error string `json:"error"`
 	// Code is the machine-readable member of the structured error
 	// taxonomy: canceled | disconnected | not_spd | too_large | dimension
-	// | unknown_key | internal | invalid_request | invalid_graph |
-	// backpressure | stream_closed | stream_limit | bad_delta |
-	// unknown_stream.
+	// | non_finite | unknown_key | internal | invalid_request |
+	// invalid_graph | backpressure | stream_closed | stream_limit |
+	// bad_delta | unknown_stream.
 	Code string `json:"code"`
 }
 

@@ -270,9 +270,9 @@ func TestErrorResponses(t *testing.T) {
 		t.Fatalf("missing rhs status = %d", resp.StatusCode)
 	}
 
-	// Overflow-scale rhs: dot products overflow to Inf/NaN inside PCG, so
-	// the response is unencodable JSON — must surface as a clean 500, not
-	// a 200 with a truncated body.
+	// Overflow-scale rhs: dot products overflow to Inf/NaN inside PCG.
+	// The solve reports it as a typed error — 422 non_finite — instead of
+	// handing NaNs to the JSON encoder.
 	gTiny := gen.Grid2D(3, 3, 1)
 	bHuge := make([]float64, gTiny.N)
 	for i := range bHuge {
@@ -280,11 +280,8 @@ func TestErrorResponses(t *testing.T) {
 	}
 	ovReq := solveRequest{Graph: &graphPayload{N: gTiny.N, Edges: edgesPayload(gTiny)}, B: bHuge}
 	var ovErr errorResponse
-	if resp := postJSON(t, ts.URL+"/v1/solve", ovReq, &ovErr); resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("overflow rhs status = %d", resp.StatusCode)
-	}
-	if strings.Contains(ovErr.Error, "NaN") {
-		t.Fatalf("internal detail leaked to client: %q", ovErr.Error)
+	if resp := postJSON(t, ts.URL+"/v1/solve", ovReq, &ovErr); resp.StatusCode != http.StatusUnprocessableEntity || ovErr.Code != "non_finite" {
+		t.Fatalf("overflow rhs status = %d code %q", resp.StatusCode, ovErr.Code)
 	}
 
 	// Wrong method → 405 from the route table.
@@ -295,6 +292,24 @@ func TestErrorResponses(t *testing.T) {
 	getResp.Body.Close()
 	if getResp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET sparsify status = %d", getResp.StatusCode)
+	}
+}
+
+// TestWriteJSONUnencodable: a value the JSON encoder rejects (a NaN that
+// slipped past the typed solve errors) yields a clean 500 with the
+// structured internal code, never a 200 with a truncated body.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, solveResponse{RelRes: math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", rec.Code)
+	}
+	var er errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
+		t.Fatalf("fallback body is not JSON: %v (%q)", err, rec.Body.String())
+	}
+	if er.Code != "internal" || strings.Contains(er.Error, "NaN") {
+		t.Fatalf("fallback body = %+v", er)
 	}
 }
 

@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,8 +15,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/gen"
-	"repro/internal/graph"
-	"repro/internal/precond"
 )
 
 var servingRE = regexp.MustCompile(`serving on ([^ ]+:\d+) `)
@@ -140,92 +137,6 @@ func TestWorkerProcessSmoke(t *testing.T) {
 	decodeBody(t, resp, &ws)
 	if ws.Served == 0 {
 		t.Fatalf("worker process reports zero clusters served: %+v", ws)
-	}
-}
-
-// TestRemoteFactorsProcessSmoke is the -remote-factors acceptance check
-// across a real process boundary: a fleet-dispatched Schwarz build whose
-// per-cluster factorizations also travel to the worker process must be
-// bit-for-bit the local build — same sparsifier edges, same PCG
-// iteration count — with the remote factors visible in the stats.
-func TestRemoteFactorsProcessSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two-process smoke test skipped in -short mode")
-	}
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go toolchain not available to build the worker binary")
-	}
-	workerURL := startWorkerProcess(t)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(workerURL + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("worker never became healthy: %v", err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-
-	g := gen.Grid2D(20, 20, 3)
-	b := make([]float64, g.N)
-	rng := rand.New(rand.NewSource(9))
-	var sum float64
-	for i := range b {
-		b[i] = rng.NormFloat64()
-		sum += b[i]
-	}
-	for i := range b {
-		b[i] -= sum / float64(len(b)) // project onto range(L)
-	}
-	solve := func(eng *engine.Engine) (*graph.Graph, int, *engine.Artifact) {
-		t.Helper()
-		art, _, err := eng.Sparsify(context.Background(), g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sol, err := art.Handle.Solve(context.Background(), b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return art.Handle.SparsifierGraph(), sol.Iterations, art
-	}
-
-	local := engine.New(engine.Options{
-		Workers: 4, CacheSize: 8, ShardThreshold: 100, Precond: precond.Schwarz,
-	})
-	fleet := engine.New(engine.Options{
-		Workers: 4, CacheSize: 8, ShardThreshold: 100, Precond: precond.Schwarz,
-		Fleet:         []string{workerURL},
-		RemoteFactors: true,
-	})
-	ls, liters, _ := solve(local)
-	fs, fiters, fart := solve(fleet)
-	if !reflect.DeepEqual(ls.Edges, fs.Edges) {
-		t.Fatalf("remote-factor build differs from local: %d vs %d edges", fs.M(), ls.M())
-	}
-	if liters != fiters {
-		t.Fatalf("PCG iterations differ across the process boundary: local %d, fleet %d", liters, fiters)
-	}
-	if ps := fart.Handle.PrecondStats(); ps == nil || ps.FactorsRemote == 0 {
-		t.Fatalf("no factors built by the worker process: %+v", ps)
-	}
-	if st := fleet.Stats(); st.FactorsRemote == 0 {
-		t.Fatalf("engine stats missed the remote factors: %+v", st)
-	}
-
-	// The worker's stats endpoint must show the factor jobs.
-	resp, err := http.Get(workerURL + "/v2/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var ws workerStatsResponse
-	decodeBody(t, resp, &ws)
-	if ws.FactorsBuilt == 0 {
-		t.Fatalf("worker process reports zero factors built: %+v", ws)
 	}
 }
 

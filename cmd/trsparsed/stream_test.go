@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/gen"
@@ -101,14 +102,19 @@ func TestV2StreamLifecycle(t *testing.T) {
 		t.Fatalf("generation = %d, want 2", pr.Generation)
 	}
 
-	// Session stats converge once the async rebuild drains.
+	// Session stats converge once the async rebuild lands. PendingPushes
+	// drops to 0 when the drain starts the rebuild, not when it finishes,
+	// so wait for the second update itself, against a deadline.
 	var ss engine.StreamStats
-	for i := 0; i < 200; i++ {
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		if resp := doReq(t, http.MethodGet, ts.URL+"/v2/stream/"+open.ID, nil, &ss); resp.StatusCode != http.StatusOK {
 			t.Fatalf("stats status %d", resp.StatusCode)
 		}
 		if ss.Updates >= 2 && ss.PendingPushes == 0 {
 			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("async rebuild did not land: %+v", ss)
 		}
 	}
 	if ss.Pushes != 2 || ss.PendingPushes != 0 || ss.Failed != "" {

@@ -17,7 +17,8 @@ import (
 // competes with: it reuses A's pattern (no fill to store), but its
 // condition-number improvement on mesh Laplacians is a constant factor,
 // whereas the sparsifier preconditioner caps PCG iterations at a level set
-// by κ(L_G, L_P). BenchmarkPreconditioners quantifies the gap.
+// by κ(L_G, L_P). TestSparsifierBeatsIC0 (internal/solver) measures the
+// gap in PCG iterations on a mesh Laplacian.
 //
 // The ordering is natural (IC quality is ordering-insensitive compared to
 // complete factorizations, and keeping A's pattern is the point).

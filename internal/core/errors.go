@@ -28,6 +28,10 @@ var (
 	// ErrDimension reports mismatched dimensions: a right-hand side of the
 	// wrong length, or a prebuilt sparsifier over a different vertex set.
 	ErrDimension = errors.New("dimension mismatch")
+	// ErrNonFinite reports a solve whose right-hand side, solution, or
+	// residual is not finite: an infinite or NaN rhs entry, or one so
+	// large that PCG's dot products overflow.
+	ErrNonFinite = errors.New("non-finite solve")
 )
 
 // wrapCanceled folds a context error into the ErrCanceled chain; non-context

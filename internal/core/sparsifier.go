@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -107,14 +108,6 @@ type Config struct {
 	// them when present.
 	Clusters shard.ClusterCache
 	Factors  precond.FactorCache
-
-	// RemoteFactors, when true and Dispatcher also implements
-	// precond.FactorDispatcher, routes Schwarz per-cluster factorizations
-	// through the fleet: each cluster's exact overlap-extended pencil
-	// block ships to the worker already warm for that cluster, and the
-	// validated factor comes back bit-identical to a local build.
-	// Failures fall back to local factorization inside the builder.
-	RemoteFactors bool
 }
 
 // erPlanVertices is the graph size above which the ER method routes
@@ -325,18 +318,12 @@ func (s *Sparsifier) precondBuilder(ctx context.Context, cfg Config) (precond.Bu
 		}
 		assign = plan.Assign
 	}
-	var fd precond.FactorDispatcher
-	if cfg.RemoteFactors {
-		fd, _ = cfg.Dispatcher.(precond.FactorDispatcher)
-	}
 	return precond.NewSchwarz(assign, precond.SchwarzOptions{
 		Workers:      cfg.Sparsify.Workers,
 		Overlap:      cfg.Overlap,
 		Keys:         keys,
 		Cache:        cfg.Factors,
 		ApplyWorkers: cfg.ApplyWorkers,
-		Factors:      fd,
-		Ctx:          ctx,
 	}), nil
 }
 
@@ -372,6 +359,9 @@ func (s *Sparsifier) SolveTol(ctx context.Context, b []float64, tol float64) (*S
 	if len(b) != s.n {
 		return nil, fmt.Errorf("%w: rhs has length %d, graph has %d vertices", ErrDimension, len(b), s.n)
 	}
+	if !finite(b) {
+		return nil, fmt.Errorf("%w: rhs has an infinite or NaN entry", ErrNonFinite)
+	}
 	if tol <= 0 {
 		tol = s.cfg.Tol
 	}
@@ -382,7 +372,30 @@ func (s *Sparsifier) SolveTol(ctx context.Context, b []float64, tol float64) (*S
 	if err != nil {
 		return nil, err
 	}
-	return &Solution{X: x, Iterations: r.Iterations, RelRes: r.RelRes, Converged: r.Converged}, nil
+	sol := &Solution{X: x, Iterations: r.Iterations, RelRes: r.RelRes, Converged: r.Converged}
+	if err := sol.checkFinite(); err != nil {
+		return nil, err
+	}
+	return sol, nil
+}
+
+// finite reports whether every entry of v is finite.
+func finite(v []float64) bool {
+	for _, x := range v {
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkFinite returns an ErrNonFinite error when the solve overflowed:
+// a finite but huge rhs can still drive PCG's dot products to Inf/NaN.
+func (sol *Solution) checkFinite() error {
+	if math.IsInf(sol.RelRes, 0) || math.IsNaN(sol.RelRes) || !finite(sol.X) {
+		return fmt.Errorf("%w: solve overflowed (relres %g); rescale the rhs", ErrNonFinite, sol.RelRes)
+	}
+	return nil
 }
 
 // maxPanelCols caps how many right-hand sides one block-PCG panel
@@ -414,6 +427,9 @@ func (s *Sparsifier) SolveBatchTol(ctx context.Context, bs [][]float64, tol floa
 	for i, b := range bs {
 		if len(b) != s.n {
 			return nil, fmt.Errorf("%w: rhs %d has length %d, graph has %d vertices", ErrDimension, i, len(b), s.n)
+		}
+		if !finite(b) {
+			return nil, fmt.Errorf("%w: rhs %d has an infinite or NaN entry", ErrNonFinite, i)
 		}
 	}
 	if tol <= 0 {
@@ -466,7 +482,12 @@ func (s *Sparsifier) SolveBatchTol(ctx context.Context, bs [][]float64, tol floa
 					continue
 				}
 				for k, r := range rs {
-					out[lo+k] = &Solution{X: xs[k], Iterations: r.Iterations, RelRes: r.RelRes, Converged: r.Converged}
+					sol := &Solution{X: xs[k], Iterations: r.Iterations, RelRes: r.RelRes, Converged: r.Converged}
+					if err := sol.checkFinite(); err != nil {
+						errs[ci] = fmt.Errorf("rhs %d: %w", lo+k, err)
+						break
+					}
+					out[lo+k] = sol
 				}
 			}
 		}()

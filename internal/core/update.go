@@ -85,18 +85,6 @@ func (s *Sparsifier) Update(ctx context.Context, d graph.Delta) (*Sparsifier, er
 	return UpdateSparsifierPatch(ctx, s, p)
 }
 
-// UpdateSparsifier builds a handle for newG incrementally against base:
-// the explicit-graph form of Sparsifier.Update, for callers that already
-// materialized the updated graph. Without a graph.Patch there is no dirty
-// set, so the stitch and pencil assembly run globally — per-cluster reuse
-// still applies, but none of the localized fast path does. Callers that
-// hold the delta should prefer UpdateSparsifierPatch. newG must keep
-// base's vertex set for the plan to be reusable; a different vertex count
-// falls back to a full build.
-func UpdateSparsifier(ctx context.Context, base *Sparsifier, newG *graph.Graph) (*Sparsifier, error) {
-	return updateSparsifier(ctx, base, newG, nil)
-}
-
 // UpdateSparsifierPatch builds a handle for the patched graph p.G
 // incrementally against base — the streaming-delta fast path. The patch's
 // touched-vertex set localizes the stitch to dirty clusters, and when the
@@ -109,16 +97,13 @@ func UpdateSparsifierPatch(ctx context.Context, base *Sparsifier, p *graph.Patch
 	if p == nil || p.G == nil {
 		return nil, fmt.Errorf("core: update from nil patch")
 	}
-	return updateSparsifier(ctx, base, p.G, p)
-}
-
-func updateSparsifier(ctx context.Context, base *Sparsifier, newG *graph.Graph, p *graph.Patch) (*Sparsifier, error) {
 	if base == nil {
 		return nil, fmt.Errorf("core: update of nil handle")
 	}
+	newG := p.G
 	cfg := base.cfg
 	st := base.ShardStats()
-	if st == nil || st.Abandoned || st.Assign == nil || newG == nil || newG.N != base.n {
+	if st == nil || st.Abandoned || st.Assign == nil || newG.N != base.n {
 		// Nothing reusable (monolithic, prebuilt, abandoned plan, or a
 		// changed vertex set): a full rebuild is the correct Update.
 		return NewSparsifier(ctx, newG, cfg)
@@ -129,7 +114,7 @@ func updateSparsifier(ctx context.Context, base *Sparsifier, newG *graph.Graph, 
 	// A reweight-only patch cannot change connectivity (ApplyPatch
 	// validates positive weights), so the O(n + m) BFS check is skipped —
 	// part of keeping the ≤1%-delta cost O(dirty).
-	if (p == nil || p.Structural()) && !newG.Connected() {
+	if p.Structural() && !newG.Connected() {
 		return nil, fmt.Errorf("%w: updated graph with %d vertices and %d edges has %d components",
 			ErrDisconnected, newG.N, newG.M(), componentCount(newG))
 	}
@@ -184,9 +169,10 @@ func updateSparsifier(ctx context.Context, base *Sparsifier, newG *graph.Graph, 
 // resolved to new-graph indices once (robust to edge-order differences
 // between the graph the base was built from and the patched graph) so
 // clean clusters adopt by index without hashing or cache lookups.
-// Returns nil — plain incremental rebuild — when no patch is available.
+// Returns nil — plain incremental rebuild — when the base handle holds no
+// sparsifier graph.
 func localizeFromBase(base *Sparsifier, p *graph.Patch) *shard.Localize {
-	if p == nil || base.sub == nil {
+	if base.sub == nil {
 		return nil
 	}
 	sub := base.sub
@@ -238,7 +224,7 @@ const storedZeroCompactionDiv = 8
 func updatedPencil(base *Sparsifier, newG *graph.Graph, p *graph.Patch, res *sparsify.Result, builder precond.Builder) (*Pencil, *UpdateStats, int, int, error) {
 	st := res.Shards
 	upd := &UpdateStats{Localized: st != nil && st.StitchLocalized}
-	patchable := p != nil && base.pen != nil &&
+	patchable := base.pen != nil &&
 		st != nil && st.Incremental && st.StitchLocalized && !st.Abandoned &&
 		st.CutRepaired == 0 && res.Reweight == nil
 	if !patchable {
@@ -299,7 +285,7 @@ func updatedPencil(base *Sparsifier, newG *graph.Graph, p *graph.Patch, res *spa
 	upd.PatchTime = time.Since(t) - upd.AssembleTime
 	upd.StoredZeros = lgZeros + lpZeros
 
-	pen, err := newPencilFromParts(newG.N, shift, lg, lp, builder)
+	pen, err := newPencilFromLaplacians(newG.N, shift, lg, lp, builder)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}

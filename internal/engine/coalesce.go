@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -63,6 +64,10 @@ type solveBatch struct {
 	done chan struct{}
 	sols []*core.Solution
 	err  error
+	// errs, when non-nil, holds per-column errors: a batch that failed
+	// with core.ErrNonFinite is re-solved column by column so only the
+	// overflowing request sees the error.
+	errs []error
 }
 
 func newCoalescer(e *Engine, win time.Duration, max int) *coalescer {
@@ -125,6 +130,9 @@ func (c *coalescer) solve(ctx context.Context, art *Artifact, b []float64, tol f
 	case <-sb.done:
 		if sb.err != nil {
 			return nil, sb.err
+		}
+		if sb.errs != nil && sb.errs[idx] != nil {
+			return nil, sb.errs[idx]
 		}
 		sol := sb.sols[idx]
 		return &SolveResult{
@@ -205,6 +213,14 @@ func (c *coalescer) run(bk coalesceKey, sb *solveBatch) {
 	e.c.solveBatches.Add(1)
 	e.c.observeBatchSize(len(sb.bs))
 	sols, err := sb.art.Handle.SolveBatchTol(ctx, sb.bs, bk.tol)
+	if errors.Is(err, core.ErrNonFinite) && len(sb.bs) > 1 {
+		// One request's rhs overflowed the block solve; re-solve each
+		// column alone so the other requests in the batch still succeed.
+		sols, sb.errs, err = make([]*core.Solution, len(sb.bs)), make([]error, len(sb.bs)), nil
+		for i, b := range sb.bs {
+			sols[i], sb.errs[i] = sb.art.Handle.SolveTol(ctx, b, bk.tol)
+		}
+	}
 	if err != nil {
 		e.c.jobErrors.Add(1)
 	}

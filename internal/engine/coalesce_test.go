@@ -2,11 +2,14 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 )
 
@@ -119,6 +122,43 @@ func TestCoalesceSizeCapSealsEarly(t *testing.T) {
 	}
 	st := e.Stats()
 	if st.SolveBatches != 1 || st.BatchP50 != 2 {
+		t.Fatalf("expected one batch of width 2: %+v", st)
+	}
+}
+
+// TestCoalescedOverflowFailsOnlyItsRequest: one request whose rhs
+// overflows the shared block solve gets core.ErrNonFinite; the other
+// request in the same batch still gets its solution.
+func TestCoalescedOverflowFailsOnlyItsRequest(t *testing.T) {
+	e, art, bs := coalesceFixture(t, Options{
+		Workers:          4,
+		CoalesceWindow:   10 * time.Second,
+		CoalesceMaxBatch: 2,
+	}, 2)
+	for i := range bs[1] {
+		bs[1][i] = math.MaxFloat64
+		if i%2 == 1 {
+			bs[1][i] = -math.MaxFloat64
+		}
+	}
+	results := make([]*SolveResult, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for k := 0; k < 2; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			results[k], errs[k] = e.SolveArtifact(context.Background(), art, bs[k], 1e-6)
+		}(k)
+	}
+	wg.Wait()
+	if errs[0] != nil || !results[0].Converged {
+		t.Fatalf("finite request failed alongside the overflowing one: %v", errs[0])
+	}
+	if !errors.Is(errs[1], core.ErrNonFinite) {
+		t.Fatalf("overflowing request: err = %v, want ErrNonFinite", errs[1])
+	}
+	if st := e.Stats(); st.SolveBatches != 1 || st.BatchP50 != 2 {
 		t.Fatalf("expected one batch of width 2: %+v", st)
 	}
 }

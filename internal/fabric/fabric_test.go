@@ -292,6 +292,33 @@ func TestWorkerRejectsMalformedPayloads(t *testing.T) {
 	}
 }
 
+// TestWorkerRejectsFactorJobs: a factor-job payload (the wire shape of
+// older coordinators' remote Schwarz factor builds — a key plus a factor
+// block, no cluster section) is an invalid cluster request. The worker
+// answers 400 invalid_request without building anything, so such a
+// coordinator factorizes locally, as it does on any dispatch error.
+func TestWorkerRejectsFactorJobs(t *testing.T) {
+	ts, w := startWorker(t, newMapCache(), nil)
+	body := `{"key":"k","factor":{"n":2,"colptr":[0,2,4],"rowidx":[0,1,0,1],"val":[2,-1,-1,2]}}`
+	resp, err := http.Post(ts.URL+"/v2/cluster", "application/json", bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e struct {
+		Code string `json:"code"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || e.Code != "invalid_request" {
+		t.Fatalf("factor job: status %d code %q, want 400 invalid_request", resp.StatusCode, e.Code)
+	}
+	if st := w.Stats(); st.Served != 0 || st.Failures != 1 {
+		t.Fatalf("factor job reached a build: worker stats %+v", st)
+	}
+}
+
 // TestEmptyFleetDispatchesLocally checks the zero-worker Remote is a
 // working dispatcher (configuration convenience: flipping the fleet off
 // without changing call sites).

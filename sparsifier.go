@@ -49,6 +49,9 @@ var (
 	// ErrDimension: a right-hand side or prebuilt sparsifier has the wrong
 	// size for the graph.
 	ErrDimension = core.ErrDimension
+	// ErrNonFinite: a solve's right-hand side, solution, or residual is
+	// infinite or NaN (an rhs large enough to overflow PCG included).
+	ErrNonFinite = core.ErrNonFinite
 )
 
 // New builds a Sparsifier handle for the connected graph g: it runs the

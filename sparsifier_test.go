@@ -3,6 +3,7 @@ package trsparse
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -157,6 +158,41 @@ func TestSolveValidatesRHS(t *testing.T) {
 	}
 	if _, err := s.SolveBatch(ctx, [][]float64{make([]float64, s.N()), {1}}); !errors.Is(err, ErrDimension) {
 		t.Errorf("mis-sized batch rhs: err = %v, want ErrDimension", err)
+	}
+}
+
+// TestSolveNonFinite: an infinite rhs entry, or a finite rhs large
+// enough to overflow PCG, fails with ErrNonFinite instead of returning
+// NaN solutions — for scalar and batched solves alike.
+func TestSolveNonFinite(t *testing.T) {
+	ctx := context.Background()
+	s, err := New(ctx, Grid2D(6, 6, 1), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf := make([]float64, s.N())
+	inf[3] = math.Inf(-1)
+	huge := make([]float64, s.N())
+	for i := range huge {
+		huge[i] = math.MaxFloat64
+		if i%2 == 1 {
+			huge[i] = -math.MaxFloat64
+		}
+	}
+	ok := make([]float64, s.N())
+	ok[0], ok[1] = 1, -1
+	for name, b := range map[string][]float64{"inf": inf, "overflow": huge} {
+		if sol, err := s.Solve(ctx, b); !errors.Is(err, ErrNonFinite) || sol != nil {
+			t.Errorf("%s rhs: sol = %v, err = %v, want ErrNonFinite", name, sol, err)
+		}
+		for _, bs := range [][][]float64{{ok, b}, {b, ok, ok}} {
+			if sols, err := s.SolveBatch(ctx, bs); !errors.Is(err, ErrNonFinite) || sols != nil {
+				t.Errorf("%s batch of %d: err = %v, want ErrNonFinite", name, len(bs), err)
+			}
+		}
+	}
+	if _, err := s.SolveBatch(ctx, [][]float64{ok, ok}); err != nil {
+		t.Errorf("finite batch: %v", err)
 	}
 }
 
